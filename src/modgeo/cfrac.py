@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceededError, InvalidInputError, UndecidableInputError
-from .exact import QuadElem, RationalLike, Value, normalize_quad
+from .exact import QuadElem, RationalLike, normalize_quad
 from .slopes import GenericSlope, is_projective_rational
 
 DEFAULT_BUDGET = 10**6
@@ -171,13 +171,6 @@ def convergent(cf: CFExpansion, k: int) -> Fraction:
 def convergents(cf: CFExpansion, count: int):
     """First `count` convergents, in order."""
     return [convergent(cf, k) for k in range(count)]
-
-
-def evaluate_rational(cf: CFExpansion) -> Value:
-    """Exact value of a rational expansion (period must be empty)."""
-    if not cf.is_rational():
-        raise InvalidInputError("cannot evaluate a periodic expansion exactly")
-    return convergent(cf, len(cf.preperiod) - 1)
 
 
 def gl2z_equivalent(x, y, budget: int = DEFAULT_BUDGET) -> bool:

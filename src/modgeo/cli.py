@@ -4,7 +4,8 @@ Every subcommand accepts --json for a single machine-readable document.
 Exact values are serialized as expression strings in the library's own
 syntax (re-parseable); decimal approximations appear only in fields
 suffixed _numeric, rendered at MODGEO_NUMERIC_DIGITS significant digits
-(default 20).  MODGEO_STEP_BUDGET caps expansion loops and searches.
+(default 20).  MODGEO_STEP_BUDGET caps the continued-fraction loops
+(cf, equiv).
 
 Exit codes: 0 success, 1 negative answer (inequivalent / none),
 2 usage or parse error, 3 domain error.
@@ -319,7 +320,7 @@ def _cmd_siegel(args, cfg: OutputConfig) -> int:
         )
     point = fields.siegel_special_point(K)
     payload["dims"] = list(point.dims)
-    psi = fields.find_compatible_symplectic(point, args.psi_bound, budget=cfg.budget)
+    psi = fields.find_compatible_symplectic(point, args.psi_bound)
     payload["psi_bound"] = args.psi_bound
     payload["psi"] = [list(r) for r in psi] if psi is not None else None
     if psi is not None:

@@ -30,8 +30,10 @@ from .polyutil import (
     isolate_roots,
     padd,
     pdeg,
+    pderiv,
     pdivmod,
     peval,
+    pgcd,
     pmul,
     pneg,
     pnormalize,
@@ -78,32 +80,37 @@ def number_field(coeffs) -> NumberField:
     return NumberField(p)
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    for d in range(1, math.isqrt(n) + 1):
-        if n % d == 0:
-            out.append(d)
-            if d * d != n:
-                out.append(n // d)
-    return sorted(out)
-
-
 def _rational_roots(p: tuple[int, ...]) -> list[Fraction]:
-    """All rational roots of an integer polynomial, exactly."""
+    """All rational roots of an integer polynomial, exactly.
+
+    With q the primitive squarefree part, of degree n and leading
+    coefficient c, x is a root exactly when y = c x is an integer root of
+    the monic Q(y) = c^(n-1) q(y/c), and then |y| < 1 + max |Q_i|.  Modulo
+    a prime l at which every root of Q is simple, each integer root is the
+    Hensel lift of one of those roots to a modulus above twice that bound.
+    The work grows with the bit size of the coefficients, where trial
+    division of p(0) grows with their square root.
+    """
     poly = pnormalize(p)
-    roots = set()
-    while poly and poly[0] == 0:
-        roots.add(Fraction(0))
-        poly = poly[1:]
-    if pdeg(poly) >= 1:
-        c0, cn = int(poly[0]), int(poly[-1])
-        for u in _divisors(c0):
-            for v in _divisors(cn):
-                for cand in (Fraction(u, v), Fraction(-u, v)):
-                    if peval(poly, cand) == 0:
-                        roots.add(cand)
-    return sorted(roots)
+    if pdeg(poly) < 1:
+        return []
+    q = primitive_int(pdivmod(poly, pgcd(poly, pderiv(poly)))[0])
+    n, c = len(q) - 1, q[-1]
+    Q = [qi * c ** (n - 1 - i) for i, qi in enumerate(q[:-1])] + [1]
+    dQ = [i * Q[i] for i in range(1, n + 1)]
+    ell = 1
+    while True:  # ends at the latest past the primes dividing disc(Q)
+        ell += 1
+        if all(ell % f for f in range(2, math.isqrt(ell) + 1)):
+            roots = [t for t in range(ell) if peval(Q, t) % ell == 0]
+            if all(peval(dQ, t) % ell for t in roots):
+                break
+    mod, bound = ell, 1 + max(map(abs, Q))
+    while mod <= 2 * bound:
+        mod *= mod
+        roots = [(t - peval(Q, t) * pow(peval(dQ, t), -1, mod)) % mod for t in roots]
+    centered = (y - mod if 2 * y > mod else y for y in roots)
+    return sorted(Fraction(y, c) for y in centered if peval(Q, y) == 0)
 
 
 def _quadratic_reducible(p: tuple[int, ...]) -> bool:
@@ -113,26 +120,10 @@ def _quadratic_reducible(p: tuple[int, ...]) -> bool:
 
 
 def _quartic_reducible(p: tuple[int, ...]) -> bool:
-    if p[0] == 0 or _rational_roots(p):
-        return True
-    # monicize: P(y) = c4^3 p(y/c4) is monic integer, same reducibility
-    c0, c1, c2, c3, c4 = p
-    d3, d2, d1, d0 = c3, c2 * c4, c1 * c4 * c4, c0 * c4**3
-    for g in _divisors(d0):
-        for gg in (g, -g):
-            j = d0 // gg
-            # (y^2 + f y + gg)(y^2 + i y + j): f + i = d3, f i = d2 - gg - j
-            disc = d3 * d3 - 4 * (d2 - gg - j)
-            if disc < 0:
-                continue
-            s = math.isqrt(disc)
-            if s * s != disc or (d3 + s) % 2:
-                continue
-            f = (d3 + s) // 2
-            i = (d3 - s) // 2
-            if f * j + gg * i == d1:
-                return True
-    return False
+    """A rational root, or a split into two rational quadratics: a split
+    over Q(sqrt(1))."""
+    m = pscale(pnormalize(p), Fraction(1, p[-1]))
+    return bool(_rational_roots(p)) or _split_over_quadratic(m, 1) is not None
 
 
 # -- real embeddings ------------------------------------------------------
@@ -150,10 +141,6 @@ class EmbeddingSet:
         deg = len(self.poly) - 1
         r1 = len(self.real_roots)
         return r1, (deg - r1) // 2
-
-    @property
-    def complex_pairs(self) -> int:
-        return self.signature[1]
 
     def separate(self) -> None:
         """Refine until the isolating intervals are pairwise disjoint."""
@@ -194,26 +181,74 @@ def quad_field_radicand(E: NumberField) -> int:
     return squarefree_split(disc)[1]
 
 
-def _poly_xgcd(a: Poly, b: Poly):
-    r0, r1 = pnormalize(a), pnormalize(b)
+def _kinv(a: Poly, p: Poly) -> Poly:
+    """Inverse of a modulo p by the extended Euclidean algorithm."""
+    r0, r1 = pnormalize(a), pnormalize(p)
     s0, s1 = (Fraction(1),), ()
-    t0, t1 = (), (Fraction(1),)
     while r1:
         q, rem = pdivmod(r0, r1)
         r0, r1 = r1, rem
         s0, s1 = s1, psub(s0, pmul(q, s1))
-        t0, t1 = t1, psub(t0, pmul(q, t1))
-    return r0, s0, t0
-
-
-def _kinv(a: Poly, p: Poly) -> Poly:
-    g, s, _ = _poly_xgcd(a, p)
-    assert pdeg(g) == 0, "inverse exists only modulo an irreducible polynomial"
-    return pdivmod(pscale(s, 1 / g[0]), p)[1]
+    assert pdeg(r0) == 0, "inverse exists only modulo an irreducible polynomial"
+    return pdivmod(pscale(s0, 1 / r0[0]), p)[1]
 
 
 def _kmul(a: Poly, b: Poly, p: Poly) -> Poly:
     return pdivmod(pmul(a, b), p)[1]
+
+
+def _resolvent(m: Poly) -> tuple[int, ...]:
+    """The resolvent cubic of the monic quartic m, made primitive and
+    integral: its roots are a1 a2 + a3 a4 over the three ways of pairing
+    the roots a1..a4 of m."""
+    m0, m1, m2, m3 = m[0], m[1], m[2], m[3]
+    return primitive_int((4 * m2 * m0 - m1 * m1 - m3 * m3 * m0, m1 * m3 - 4 * m0,
+                          -m2, Fraction(1)))
+
+
+def _rational_sqrt(q: Fraction) -> Optional[Fraction]:
+    num, den = q.numerator, q.denominator
+    if q < 0 or math.isqrt(num) ** 2 != num or math.isqrt(den) ** 2 != den:
+        return None
+    return Fraction(math.isqrt(num), math.isqrt(den))
+
+
+def _split_over_quadratic(m: Poly, d) -> Optional[tuple[Poly, Poly]]:
+    """Factor the monic quartic m over Q(sqrt(d)), for a positive rational
+    d (a square d gives a factorization over Q), as
+    m = (A + sqrt(d) L)(A - sqrt(d) L) = A^2 - d L^2 with A = x^2 + u0 x + v0
+    and L = w x + v1 rational; returns (A, L), or None if m does not split.
+
+    The factors pair the roots a1, a2 | a3, a4 of m with r = a1 a2 + a3 a4
+    a rational root of the resolvent cubic, and matching coefficients gives
+    u0 = m3/2, v0 = r/2, 4 w^2 d = m3^2 - 4 (m2 - r), w v1 d = u0 v0 - m1/2
+    and, when w = 0, 4 v1^2 d = r^2 - 4 m0.  A candidate is accepted only
+    after the exact expansion A^2 - d L^2 == m.
+    """
+    m0, m1, m2, m3 = m[0], m[1], m[2], m[3]
+    u0 = m3 / 2
+    for r in _rational_roots(_resolvent(m)):
+        v0 = r / 2
+        w = _rational_sqrt((m3 * m3 - 4 * (m2 - r)) / (4 * d))
+        if w is None:
+            continue
+        if w:
+            v1 = (u0 * v0 - m1 / 2) / (w * d)
+        else:
+            v1 = _rational_sqrt((r * r - 4 * m0) / (4 * d))
+        if v1 is None:
+            continue
+        A: Poly = (v0, u0, Fraction(1))
+        L: Poly = (v1, w)
+        if psub(pmul(A, A), pscale(pmul(L, L), d)) == m:
+            return A, L
+    return None
+
+
+def _sqrt_image(A: Poly, L: Poly, m: Poly) -> Poly:
+    """sqrt(d) = -A/L as an element of K = Q[y]/(m), for (A, L) from
+    _split_over_quadratic; y is then a root of A + sqrt(d) L."""
+    return _kmul(pneg(A), _kinv(L, m), m)
 
 
 def subfield_embed(E: NumberField, F: NumberField) -> Optional[tuple[Fraction, ...]]:
@@ -232,63 +267,15 @@ def subfield_embed(E: NumberField, F: NumberField) -> Optional[tuple[Fraction, .
         )
     d = quad_field_radicand(E)
     m = pscale(F.poly(), Fraction(1, F.poly()[-1]))  # monic quartic
-    m0, m1, m2, m3 = m[0], m[1], m[2], m[3]
-    u0 = m3 / 2
-    # factor m = (x^2 + u x + v)(x^2 + conj(u) x + conj(v)) over Q(sqrt(d)).
-    # Case u rational (w = 0): v0 is forced and v1^2 = (v0^2 - m0)/d.
-    v0r = (m2 - u0 * u0) / 2
-    if 2 * u0 * v0r == m1:
-        v1sq = (v0r * v0r - m0) / d
-        if v1sq > 0:
-            num, den = v1sq.numerator, v1sq.denominator
-            rn, rd = math.isqrt(num), math.isqrt(den)
-            if rn * rn == num and rd * rd == den:
-                v1 = Fraction(rn, rd)
-                s = _kmul(pneg((v0r, u0, Fraction(1))),
-                          _kinv((v1,), m), m)
-                square = _kmul(s, s, m)
-                if square == (Fraction(d),):
-                    lead = next(c for c in reversed(s) if c != 0)
-                    if lead < 0:
-                        s = pneg(s)
-                    out = list(s) + [Fraction(0)] * (4 - len(s))
-                    return tuple(out[:4])
-    # Case u = u0 + w sqrt(d) with rational w != 0:
-    #   v0 = (m2 - u0^2 + w^2 d)/2
-    #   v1 = (u0 v0 - m1/2) / (w d)
-    #   v0^2 - v1^2 d = m0
-    A = (m2 - u0 * u0) / 2
-    B = Fraction(d, 2)
-    v0_poly: Poly = (A, Fraction(0), B)  # v0 as polynomial in w
-    num_poly = psub(pscale(v0_poly, u0), (m1 / 2,))  # u0 v0 - m1/2
-    lhs = pmul(psub(pmul(v0_poly, v0_poly), (m0,)), (Fraction(0), Fraction(0), Fraction(d)))
-    weq = psub(lhs, pmul(num_poly, num_poly))
-    weq = pnormalize(weq)
-    assert weq, "degenerate factorization equation"
-    for w in _rational_roots(primitive_int(weq)):
-        if w == 0:
-            continue
-        v0 = peval(v0_poly, w)
-        v1 = (u0 * v0 - m1 / 2) / (w * d)
-        # verify the factorization exactly
-        if (
-            2 * u0 == m3
-            and 2 * v0 + u0 * u0 - w * w * d == m2
-            and 2 * (u0 * v0 - w * v1 * d) == m1
-            and v0 * v0 - v1 * v1 * d == m0
-        ):
-            lin: Poly = (v1, Fraction(w))  # w x + v1
-            if pdeg(pnormalize(lin)) < 0:
-                continue
-            s = _kmul(pneg((v0, u0, Fraction(1))), _kinv(lin, m), m)
-            square = _kmul(s, s, m)
-            assert square == (Fraction(d),), "exact squaring check failed"
-            lead = next(c for c in reversed(s) if c != 0)
-            if lead < 0:
-                s = pneg(s)
-            out = list(s) + [Fraction(0)] * (4 - len(s))
-            return tuple(out[:4])
-    return None
+    split = _split_over_quadratic(m, d)
+    if split is None:
+        return None
+    s = _sqrt_image(*split, m)
+    if _kmul(s, s, m) != (Fraction(d),):
+        raise AssertionError("exact squaring check failed")
+    if s[-1] < 0:
+        s = pneg(s)
+    return tuple(s) + (Fraction(0),) * (4 - len(s))
 
 
 # -- RM types -------------------------------------------------------------
@@ -427,7 +414,8 @@ def hilbert_special_point(F: NumberField, E: NumberField, t: RMType) -> HilbertL
     y_idx = tuple(i for i in range(len(emb_f.real_roots)) if i not in x_idx)
     lilac = HilbertLilac(F, E, t, sqrt_coords, emb_f, x_idx, y_idx)
     ok = verify_hilbert_lilac(lilac)
-    assert ok["direct_sum"] and ok["stable"]
+    if not (ok["direct_sum"] and ok["stable"]):
+        raise AssertionError("special point failed its direct-sum or stability certificate")
     return lilac
 
 
@@ -448,9 +436,9 @@ def verify_hilbert_lilac(lilac: HilbertLilac) -> dict:
         return out
     d = quad_field_radicand(lilac.base)
     s = lilac.sqrt_coords
-    assert s is not None
     m = pscale(lilac.field.poly(), Fraction(1, lilac.field.poly()[-1]))
-    assert _kmul(s, s, m) == (Fraction(d),)
+    if s is None or _kmul(s, s, m) != (Fraction(d),):
+        raise AssertionError("exact squaring check of sqrt(d_E) failed")
     signs = [root.sign_of_value(s) for root in lilac.embeddings.real_roots]
     out["sign_pattern"] = tuple(signs)
     chosen_signs = sorted(signs[i] for i in lilac.x_embeddings)
@@ -489,18 +477,14 @@ class ComplexPairEnclosure:
         self.bits += 16
 
     def box(self) -> Box:
-        i1, i2 = self.b1.interval(), self.b2.interval()
-        x0 = (Interval.point(self._sum) - i1 - i2) * Interval.point(Fraction(1, 2))
-        mod2 = Interval.point(self._prod) * (i1 * i2).inverse()
-        y2 = mod2 - x0 * x0
-        while y2.lo <= 0:
-            self.refine()
+        while True:
             i1, i2 = self.b1.interval(), self.b2.interval()
             x0 = (Interval.point(self._sum) - i1 - i2) * Interval.point(Fraction(1, 2))
             mod2 = Interval.point(self._prod) * (i1 * i2).inverse()
             y2 = mod2 - x0 * x0
-        y0 = sqrt_interval(y2, self.bits)
-        return Box(x0, y0)
+            if y2.lo > 0:
+                return Box(x0, sqrt_interval(y2, self.bits))
+            self.refine()
 
 
 @dataclass
@@ -596,10 +580,8 @@ def padd_scaled(a: Poly, b: Poly, s) -> Poly:
 
 def _kpoly_gcd(khat: list[Poly], m: Poly) -> list[Poly]:
     """Monic gcd of (m viewed in K[s]) and B^(s); coefficients in K."""
-    a = [(Fraction(c),) if c else () for c in m]
-    b = list(khat)
-    a = _kpoly_norm(a)
-    b = _kpoly_norm(b)
+    a = _kpoly_norm([(c,) for c in m])
+    b = _kpoly_norm(khat)
     while b:
         b_monic = _kpoly_monic(b, m)
         a = _kpoly_mod(a, b_monic, m)
@@ -621,23 +603,15 @@ def _kpoly_monic(p: list[Poly], m: Poly) -> list[Poly]:
 
 def _kpoly_mod(a: list[Poly], b: list[Poly], m: Poly) -> list[Poly]:
     """a mod b with b monic, over K = Q[y]/(m)."""
-    a = list(a)
+    a = _kpoly_norm(a)
     db = len(b) - 1
-    while len(a) - 1 >= db and _kpoly_norm(a):
-        a = _kpoly_norm(a)
-        if len(a) - 1 < db:
-            break
-        lead = a[-1]
-        if not lead:
-            a.pop()
-            continue
-        k = len(a) - 1 - db
-        for i in range(len(b)):
+    while len(a) - 1 >= db:
+        lead, k = a.pop(), len(a) - db
+        for i in range(db):
             if b[i]:
-                term = _kmul(lead, b[i], m)
-                a[k + i] = psub(a[k + i] if a[k + i] else (), term)
-        a.pop()
-    return _kpoly_norm(a)
+                a[k + i] = psub(a[k + i], _kmul(lead, b[i], m))
+        a = _kpoly_norm(a)
+    return a
 
 
 @dataclass
@@ -705,8 +679,7 @@ def _classify_gcd_roots(point: SiegelPoint, g: list[Poly], degg: int,
     of the gcd, found by interval elimination of the nonroots."""
     for _ in range(max_rounds):
         boxes = _root_boxes(point)
-        gb = point.gamma.box()
-        coeff_boxes = [eval_poly_interval(c, gb) if c else Box.point(0) for c in g]
+        coeff_boxes = [eval_poly_interval(c, boxes[2]) if c else Box.point(0) for c in g]
         alive = set()
         for idx, rho in enumerate(boxes):
             val = Box.point(0)
@@ -746,73 +719,91 @@ def _pairing_witness(point: SiegelPoint, psi) -> dict:
     return out
 
 
-def find_compatible_symplectic(point: SiegelPoint, height_bound: int,
-                               budget: int = 2_000_000):
-    """Deterministic search over integral alternating matrices with
-    entries bounded by height_bound; returns the first nondegenerate psi
-    making both summands isotropic, or None.
+def _rational_kernel(rows, n: int) -> list[list[Fraction]]:
+    """Kernel basis of a rational matrix with n columns, by Gauss-Jordan
+    elimination: one vector per free column, 1 there and 0 at the others."""
+    rows = [list(r) for r in rows]
+    pivots: list[int] = []
+    for c in range(n):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        rows = [row if i == r else [x - row[c] * y for x, y in zip(row, rows[r])]
+                for i, row in enumerate(rows)]
+        pivots.append(c)
+    basis = []
+    for f in (c for c in range(n) if c not in pivots):
+        v = [Fraction(int(c == f)) for c in range(n)]
+        for i, c in enumerate(pivots):
+            v[c] = -rows[i][f]
+        basis.append(v)
+    return basis
 
-    A certified float prefilter rejects the bulk; survivors get the full
-    exact verification.
+
+def find_compatible_symplectic(point: SiegelPoint, height_bound: int):
+    """The lexicographically least nondegenerate integral alternating psi
+    with entries (psi01, psi02, psi03, psi12, psi13, psi23) in
+    [-height_bound, height_bound] making both summands isotropic, or None.
+
+    Complex conjugation is a transposition, so the Galois group of a
+    signature-(2,1) quartic is S4 or D4; for rational psi the root pairs
+    where its pairing vanishes form a Galois-stable set.  S4 (the resolvent
+    cubic has no rational root) is 2-transitive, so no nonzero psi exists:
+    None at every height, certified by the irreducible cubic.  For D4 the
+    rational resolvent root gives the quadratic subfield Q(sqrt(d)) that
+    splits the roots into the blocks {beta1, beta2} and {gamma, conj gamma},
+    and D4 moves (beta1, gamma) to every pair across them.  So psi is
+    isotropic exactly when its pairing vanishes across the blocks: 8
+    rational linear conditions with a rank-2 kernel, whose integral points
+    in the box are enumerated through its two free coordinates (O(H^2)
+    work).  The answer is certified by verify_psi.  (Kappe-Warren, Amer.
+    Math. Monthly 96, 1989; Cohen, A Course in Computational Algebraic
+    Number Theory, 6.3.)
     """
-    from .errors import BudgetExceededError
-
-    b1, b2 = point.embeddings.real_roots
-    b1.refine_below(Fraction(1, 1 << 90))
-    b2.refine_below(Fraction(1, 1 << 90))
-    while point.gamma.bits < 90:
-        point.gamma.refine()
+    if height_bound < 0:
+        raise InvalidInputError(f"psi bound must be >= 0, got {height_bound}")
     ints = primitive_int(point.field.poly())
-    U = _cofactor_vectors(ints)
-    gb = point.gamma.box()
-    u1 = [eval_poly_interval(u, Box(b1.interval(), Interval.point(0))) for u in U]
-    u2 = [eval_poly_interval(u, Box(b2.interval(), Interval.point(0))) for u in U]
-    w = [eval_poly_interval(u, gb) for u in U]
-    pairs = [(k, l) for k in range(4) for l in range(k + 1, 4)]
-
-    def plucker(vec):
-        out = []
-        for k, l in pairs:
-            out.append(vec[k] * w[l] - vec[l] * w[k])
-        return out
-
-    m1 = plucker(u1)
-    m2 = plucker(u2)
-
-    def centers_and_tol(ms):
-        cs = [complex(float(b.re.mid()), float(b.im.mid())) for b in ms]
-        hw = sum(float(b.re.width()) + float(b.im.width()) for b in ms)
-        scale = max(abs(c) for c in cs) + 1.0
-        tol = height_bound * (hw + 1e-12 * scale) * 4 + 1e-12
-        return cs, tol
-
-    c1, tol1 = centers_and_tol(m1)
-    c2, tol2 = centers_and_tol(m2)
-
-    checked = 0
+    m = pscale(pnormalize(ints), Fraction(1, ints[-1]))
+    roots = _rational_roots(_resolvent(m))
+    if not roots:
+        return None
+    r = roots[0]
+    split = _split_over_quadratic(m, m[3] ** 2 - 4 * (m[2] - r) or r * r - 4 * m[0])
+    if split is None:
+        raise AssertionError("D4 quartic does not split over its resolvent subfield")
+    A, L = split
+    s = _sqrt_image(A, L, m)
+    # y is a root of A + sqrt(d) L; A - sqrt(d) L holds the other block
+    other = _kpoly_norm([psub((a,), pscale(s, l)) for a, l in zip(A, L + (0,))])
+    columns = []
+    for j in range(6):
+        khat = _pairing_khat(alternating_matrix([int(i == j) for i in range(6)]), ints, m)
+        rem = _kpoly_mod(_kpoly_norm(khat), other, m)
+        rem += [()] * (2 - len(rem))
+        columns.append([c for coeff in rem for c in coeff + (0,) * (4 - len(coeff))])
+    basis = _rational_kernel(zip(*columns), 6)
+    if len(basis) != 2:
+        raise AssertionError(f"isotropy kernel has rank {len(basis)}, not 2")
+    den = math.lcm(*(x.denominator for v in basis for x in v))
+    k1, k2 = ([int(x * den) for x in v] for v in basis)
+    limit = height_bound * den
+    best = None
     rng = range(-height_bound, height_bound + 1)
-    for entries in itertools.product(rng, repeat=6):
-        checked += 1
-        if checked > budget:
-            raise BudgetExceededError("symplectic search budget exhausted")
-        a, b, c, d, e, f = entries
-        if a * f - b * e + c * d == 0:
-            continue  # degenerate (pfaffian of the upper entries)
-        v1 = (
-            a * c1[0] + b * c1[1] + c * c1[2]
-            + d * c1[3] + e * c1[4] + f * c1[5]
-        )
-        if abs(v1) > tol1:
-            continue
-        v2 = (
-            a * c2[0] + b * c2[1] + c * c2[2]
-            + d * c2[3] + e * c2[4] + f * c2[5]
-        )
-        if abs(v2) > tol2:
-            continue
-        psi = alternating_matrix(entries)
-        res = verify_psi(point, psi)
-        if res.accepted:
-            point.psi = psi
-            return psi
-    return None
+    for t1 in rng:
+        for t2 in rng:
+            num = [t1 * p + t2 * q for p, q in zip(k1, k2)]
+            if any(n % den or abs(n) > limit for n in num):
+                continue
+            a, b, c, d_, e, f = entries = tuple(n // den for n in num)
+            if a * f - b * e + c * d_ != 0 and (best is None or entries < best):
+                best = entries
+    if best is None:
+        return None
+    psi = alternating_matrix(best)
+    if not verify_psi(point, psi).accepted:
+        raise AssertionError(f"kernel point {best} failed the isotropy certificate")
+    point.psi = psi
+    return psi

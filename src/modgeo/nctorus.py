@@ -28,7 +28,7 @@ from .errors import (
 from .exact import QuadElem, RationalLike, sign_of
 from .mtgroups import GeodesicPoint
 from .errors import DegeneratePointError
-from .slopes import GenericSlope, Slope, as_slope
+from .slopes import INF, GenericSlope, Slope, as_slope
 
 
 def _reject_generic(theta):
@@ -98,6 +98,8 @@ def pseudolattice_member(x, theta) -> Optional[tuple[int, int]]:
     """
     theta = as_slope(theta)
     _reject_generic(theta)
+    if theta is INF:
+        raise InvalidInputError("theta = inf spans no lattice Z + Z*theta")
     if isinstance(x, GenericSlope):
         raise UndecidableInputError("generic values have no exact coordinates")
     if isinstance(theta, QuadElem):

@@ -31,7 +31,7 @@ def pdeg(p: Poly) -> int:
 
 
 def peval(p: Poly, x: Fraction) -> Fraction:
-    out = Fraction(0)
+    out = 0  # integer coefficients at an integer x stay in fast int arithmetic
     for c in reversed(p):
         out = out * x + c
     return out
@@ -157,12 +157,6 @@ def variations_at_infinity(chain, positive: bool) -> int:
 
 def _sgn(x) -> int:
     return (x > 0) - (x < 0)
-
-
-def count_roots(p: Poly, lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots in (lo, hi]; p squarefree."""
-    chain = sturm_chain(p)
-    return variations_at(chain, lo) - variations_at(chain, hi)
 
 
 def count_real_roots(p: Poly) -> int:

@@ -298,12 +298,6 @@ class FormClassGroup:
     def mul(self, i: int, j: int) -> int:
         return self.cayley[i][j]
 
-    def power(self, i: int, n: int) -> int:
-        out = self.identity
-        for _ in range(n):
-            out = self.mul(out, i)
-        return out
-
     def element_order(self, i: int) -> int:
         j, n = i, 1
         while j != self.identity:

@@ -60,14 +60,6 @@ def is_projective_rational(s) -> bool:
     return s is INF or isinstance(s, RationalLike)
 
 
-def is_quadratic(s) -> bool:
-    return isinstance(s, QuadElem)
-
-
-def is_generic(s) -> bool:
-    return isinstance(s, GenericSlope)
-
-
 def slope_eq(s, t) -> bool:
     s, t = as_slope(s), as_slope(t)
     if s is INF or t is INF:

@@ -3,15 +3,21 @@
 Everything here deliberately avoids the library code paths it checks:
 brute-force searches, naive floor-based continued fractions, interval
 sign evaluation from scratch, breadth-first homography search, and exact
-arithmetic in Q(i)[x]/(x^4 - 2).
+arithmetic in Q(i)[x]/(x^4 - 2), rational roots from the divisors of the
+end coefficients, and the brute-force scan for compatible symplectic forms
+that the Galois-theoretic search replaced.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
 from modgeo.exact import QuadElem, exact_floor
+from modgeo.fields import _cofactor_vectors, alternating_matrix, verify_psi
+from modgeo.intervals import Box, Interval, eval_poly_interval
+from modgeo.polyutil import primitive_int
 from modgeo.slopes import INF, apply_homography
 
 
@@ -213,3 +219,72 @@ def qib_pairing(psi, u: list[QiB], w: list[QiB]) -> QiB:
             if psi[k][l]:
                 out = qib_add(out, qib_scale_int(qib_mul(u[k], w[l]), psi[k][l]))
     return out
+
+
+def divisor_rational_roots(coeffs) -> list[Fraction]:
+    """Rational roots of an integer polynomial (ascending coefficients) by
+    trying every u/v with u | the lowest nonzero and v | the leading
+    coefficient."""
+    p = list(coeffs)
+    while p and p[-1] == 0:
+        p.pop()
+    roots = {Fraction(0)} if p and p[0] == 0 and len(p) > 1 else set()
+    while p and p[0] == 0:
+        p.pop(0)
+    if len(p) < 2:
+        return sorted(roots)
+
+    def divisors(n):
+        return [d for d in range(1, abs(n) + 1) if n % d == 0]
+
+    for u in divisors(p[0]):
+        for v in divisors(p[-1]):
+            for x in (Fraction(u, v), Fraction(-u, v)):
+                if sum(c * x**i for i, c in enumerate(p)) == 0:
+                    roots.add(x)
+    return sorted(roots)
+
+
+# -- brute-force scan for compatible symplectic forms --------------------
+
+
+def scan_compatible_symplectic(point, height_bound: int):
+    """First nondegenerate psi, in lexicographic order of the entries
+    (psi01, psi02, psi03, psi12, psi13, psi23) over [-H, H]^6, that
+    verify_psi accepts, or None: all (2H+1)^6 candidates, most of them
+    dropped by a float prefilter on the two isotropy conditions."""
+    b1, b2 = point.embeddings.real_roots
+    b1.refine_below(Fraction(1, 1 << 90))
+    b2.refine_below(Fraction(1, 1 << 90))
+    while point.gamma.bits < 90:
+        point.gamma.refine()
+    ints = primitive_int(point.field.poly())
+    U = _cofactor_vectors(ints)
+    gb = point.gamma.box()
+    u1 = [eval_poly_interval(u, Box(b1.interval(), Interval.point(0))) for u in U]
+    u2 = [eval_poly_interval(u, Box(b2.interval(), Interval.point(0))) for u in U]
+    w = [eval_poly_interval(u, gb) for u in U]
+    pairs = [(k, l) for k in range(4) for l in range(k + 1, 4)]
+
+    def centers_and_tol(vec):
+        ms = [vec[k] * w[l] - vec[l] * w[k] for k, l in pairs]
+        cs = [complex(float(b.re.mid()), float(b.im.mid())) for b in ms]
+        hw = sum(float(b.re.width()) + float(b.im.width()) for b in ms)
+        scale = max(abs(c) for c in cs) + 1.0
+        return cs, height_bound * (hw + 1e-12 * scale) * 4 + 1e-12
+
+    c1, tol1 = centers_and_tol(u1)
+    c2, tol2 = centers_and_tol(u2)
+    rng = range(-height_bound, height_bound + 1)
+    for entries in itertools.product(rng, repeat=6):
+        a, b, c, d, e, f = entries
+        if a * f - b * e + c * d == 0:
+            continue
+        if abs(sum(x * y for x, y in zip(entries, c1))) > tol1:
+            continue
+        if abs(sum(x * y for x, y in zip(entries, c2))) > tol2:
+            continue
+        psi = alternating_matrix(entries)
+        if verify_psi(point, psi).accepted:
+            return psi
+    return None

@@ -148,6 +148,10 @@ class TestNct:
         code, doc = run_json(capsys, "nct", "levels", "3")
         assert doc == {"N": 3, "count": 48}
 
+    def test_member_theta_inf_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "nct", "member", "1/3", "--theta", "inf")
+        assert code == 3 and out == "" and "invalid-input" in err
+
 
 class TestFieldsCommands:
     def test_hilbert(self, capsys):
@@ -169,6 +173,10 @@ class TestFieldsCommands:
             [0, -3, 0, -2],
             [3, 0, 2, 0],
         ]
+
+    def test_siegel_negative_bound_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "siegel", "--K", "x^4-x-1", "--psi-bound", "-1")
+        assert code == 3 and out == "" and "invalid-input" in err
 
     def test_siegel_wrong_signature(self, capsys):
         code, out, err = run_cli(capsys, "siegel", "--K", "x^4-10*x^2+1", "--json")

@@ -10,6 +10,7 @@ from modgeo.errors import (
     WrongSignatureError,
 )
 from modgeo.fields import (
+    _rational_roots,
     alternating_matrix,
     enumerate_rm_types,
     find_compatible_symplectic,
@@ -22,10 +23,12 @@ from modgeo.fields import (
     verify_hilbert_lilac,
     verify_psi,
 )
+from modgeo.parse import parse_intpoly
 from modgeo.polyutil import (
     count_real_roots,
     is_squarefree,
     peval,
+    pmul,
     pnormalize,
     sturm_chain,
     variations_at_infinity,
@@ -34,9 +37,11 @@ from oracles import (
     BETA,
     I_BETA,
     MINUS_BETA,
+    divisor_rational_roots,
     qib_embedding_vector,
     qib_is_zero,
     qib_pairing,
+    scan_compatible_symplectic,
 )
 
 E_SQRT2 = number_field((-2, 0, 1))
@@ -65,6 +70,29 @@ class TestNumberField:
     def test_unsupported_degree(self):
         with pytest.raises(InvalidInputError):
             number_field((1, 0, 0, 1))
+
+    def test_rational_roots_match_divisor_oracle(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            p = [rng.randint(-6, 6) for _ in range(rng.randint(1, 3))]
+            for _ in range(rng.randint(0, 3)):  # rational linear factors
+                p = list(pmul(p, (rng.randint(-5, 5), rng.randint(1, 4))))
+            if rng.random() < 0.3:  # a repeated factor
+                p = list(pmul(p, p[:2]))
+            p = [int(c) for c in p]
+            if any(p):
+                assert _rational_roots(tuple(p)) == divisor_rational_roots(p)
+
+    def test_large_coefficients(self):
+        # trial division of these coefficients, or of the resolvent cubic's,
+        # takes minutes
+        number_field((-3, 0, 0, 0, 10**6 + 3))
+        with pytest.raises(InvalidInputError):
+            number_field(tuple(pmul((7, -(10**15), 1), (3, 0, 1))))
+        s4 = siegel_special_point(number_field((1 - 10**8, 3, 10**8, 0, 1)))
+        assert find_compatible_symplectic(s4, 2) is None
+        d4 = siegel_special_point(number_field((-(10**12 + 39), 0, 0, 0, 1)))
+        assert find_compatible_symplectic(d4, 1) == alternating_matrix((0, 0, -1, 1, 0, 0))
 
 
 class TestIsolation:
@@ -318,3 +346,34 @@ class TestPsi:
             assert qib_is_zero(qib_pairing(psi, u1, w)) == qib_is_zero(
                 qib_pairing(psi, u1, wbar)
             )
+
+
+# D4: x^4-2, x^4-3, x^4+x^2-1, 2x^4-1 and three with odd-degree terms;
+# S4: x^4-x-1, x^4-3x+1
+DIFFERENTIAL_QUARTICS = (
+    "x^4-2", "x^4-3", "x^4+x^2-1", "x^4-x-1", "x^4-3*x+1", "2*x^4-1",
+    "x^4+2*x^3-3*x^2+2*x-1", "x^4+x^3-3*x^2+x+1", "x^4-2*x^3+x^2-2",
+)
+
+
+class TestGaloisSearch:
+    @pytest.mark.parametrize("K", DIFFERENTIAL_QUARTICS)
+    def test_matches_brute_force_scan(self, K):
+        field = number_field(parse_intpoly(K))
+        for H in (0, 1, 2):
+            expected = scan_compatible_symplectic(siegel_special_point(field), H)
+            assert find_compatible_symplectic(siegel_special_point(field), H) == expected
+
+    def test_height_50(self):
+        pt = siegel_special_point(K_QUARTIC)
+        psi = find_compatible_symplectic(pt, 50)
+        assert max(abs(x) for row in psi for x in row) <= 50
+        assert verify_psi(pt, psi).accepted
+        s4 = siegel_special_point(number_field((-1, -1, 0, 0, 1)))
+        assert find_compatible_symplectic(s4, 50) is None
+
+    def test_negative_bound_rejected(self):
+        pt = siegel_special_point(K_QUARTIC)
+        with pytest.raises(InvalidInputError):
+            find_compatible_symplectic(pt, -1)
+        assert find_compatible_symplectic(pt, 0) is None
